@@ -138,20 +138,14 @@ class CondVar {
 ///
 /// Edges declared today (held-while-acquiring, left before right):
 ///   kLoadDriver  -> kShardRouter, kMailbox
-///   kTcpBus      -> kReactorLoop, kReactorOwner
-///   kTcpConn     -> kReactorLoop, kReactorOwner
-///   kReactorLoop -> kReactorOwner
 /// kMailbox, kLinkShaper and the ad-hoc leaves (logging sink, parallel
-/// sweep error mutex) acquire nothing nested.
+/// sweep error mutex) acquire nothing nested. The TCP transport has no
+/// lock: every socket belongs to exactly one node loop.
 namespace lock_order {
-inline Mutex kLoadDriver;    // anchor-for: sbft::load::RunState::mutex
-inline Mutex kShardRouter;   // anchor-for: sbft::ShardedCluster::mutex_
-inline Mutex kMailbox;       // anchor-for: sbft::Mailbox::mutex_
-inline Mutex kTcpBus;        // anchor-for: sbft::TcpBus::mutex_
-inline Mutex kTcpConn;       // anchor-for: sbft::TcpBus::Connection::mutex
-inline Mutex kReactorLoop;   // anchor-for: sbft::Reactor::Loop::mutex
-inline Mutex kReactorOwner;  // anchor-for: sbft::Reactor::owner_mutex_
-inline Mutex kLinkShaper;    // anchor-for: sbft::LinkShaper::mutex_
+inline Mutex kLoadDriver;   // anchor-for: sbft::load::RunState::mutex
+inline Mutex kShardRouter;  // anchor-for: sbft::ShardedCluster::mutex_
+inline Mutex kMailbox;      // anchor-for: sbft::Mailbox::mutex_
+inline Mutex kLinkShaper;   // anchor-for: sbft::LinkShaper::mutex_
 }  // namespace lock_order
 
 }  // namespace sbft

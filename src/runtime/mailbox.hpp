@@ -1,15 +1,29 @@
-// Blocking MPSC mailbox used by the threaded runtime. Producers are any
-// threads (peers' node threads, TCP reader threads, external drivers);
-// the consumer is the owning node thread.
+// Node inbox of the threaded runtime: an MPSC queue of frames and tasks
+// whose wakeup signal is an eventfd, so the owning node loop waits for
+// it in the same epoll set as its sockets and timers. Producers are any
+// threads (peer node loops on the in-process backend, the link shaper,
+// external drivers posting operations); the consumer is the owning node
+// loop, which swaps the whole queue out once per wakeup.
+//
+// Wakeup contract: the eventfd is written only when a push finds the
+// queue empty AND the owner parked (it called PrepareToPark and has not
+// drained since). A post from the owner's own thread — a completion
+// callback resubmitting an operation — or to an owner that is busy
+// dispatching therefore costs no syscall: the owner re-checks the queue
+// under the same lock before it parks again. The owner registers fd()
+// edge-triggered and never reads it; every write is a fresh edge.
 #pragma once
 
-#include <chrono>
+#include <sys/eventfd.h>
+#include <unistd.h>
+
+#include <cstdint>
 #include <deque>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/error.hpp"
 #include "common/frame.hpp"
 #include "common/thread_annotations.hpp"
 #include "sim/types.hpp"
@@ -28,79 +42,80 @@ struct MailItem {
 
 class Mailbox {
  public:
+  Mailbox() : fd_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {
+    SBFT_ASSERT(fd_ >= 0);
+  }
+  ~Mailbox() { ::close(fd_); }
+
+  Mailbox(const Mailbox&) = delete;
+  Mailbox& operator=(const Mailbox&) = delete;
+
+  /// The eventfd signalled when a push (or Close) wakes a parked owner.
+  [[nodiscard]] int fd() const { return fd_; }
+
   /// Returns false if the mailbox is closed.
   bool Push(MailItem item) {
+    bool wake;
     {
       MutexLock lock(mutex_);
       if (closed_) return false;
       items_.push_back(std::move(item));
+      wake = TakeParkedLocked();
     }
-    ready_.NotifyOne();
+    if (wake) Signal();
     return true;
   }
 
-  /// Push a whole burst (e.g. every frame decoded from one recv) under
-  /// a single lock acquisition. Returns false if the mailbox is closed;
-  /// the batch is then dropped, matching Push-after-Close semantics.
+  /// Push a whole burst under a single lock acquisition (and at most one
+  /// signal). Returns false if the mailbox is closed; the batch is then
+  /// dropped, matching Push-after-Close semantics.
   bool PushBatch(std::vector<MailItem>&& batch) {
     if (batch.empty()) return true;
+    bool wake;
     {
       MutexLock lock(mutex_);
       if (closed_) return false;
       for (auto& item : batch) items_.push_back(std::move(item));
+      wake = TakeParkedLocked();
     }
     batch.clear();
-    ready_.NotifyOne();
+    if (wake) Signal();
     return true;
   }
 
-  /// Blocks until an item arrives or the mailbox is closed and drained.
-  std::optional<MailItem> Pop() {
-    MutexLock lock(mutex_);
-    while (!closed_ && items_.empty()) ready_.Wait(mutex_);
-    if (items_.empty()) return std::nullopt;  // closed and drained
-    MailItem item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
-  /// Blocks until at least one item is available, then swaps the whole
-  /// queue into `out` — one lock per drain, however many items arrived.
-  /// `out` is cleared first. Returns false only when the mailbox is
-  /// closed AND drained (runtime shutdown).
+  /// Owner only. Swaps the whole queue into `out` (cleared first) — one
+  /// lock per wakeup, however many items arrived — and marks the owner
+  /// awake. Never blocks. Returns false only when the mailbox is closed
+  /// AND drained (runtime shutdown).
   bool Drain(std::deque<MailItem>& out) {
     out.clear();
     MutexLock lock(mutex_);
-    while (!closed_ && items_.empty()) ready_.Wait(mutex_);
-    if (items_.empty()) return false;  // closed and drained
+    parked_ = false;
+    if (items_.empty()) return !closed_;
     out.swap(items_);
     return true;
   }
 
-  /// Drain with a deadline: blocks until an item arrives, the mailbox
-  /// closes, or `deadline` passes — a timeout returns true with `out`
-  /// empty so the node loop can fire due timers and re-enter. Returns
-  /// false only when the mailbox is closed AND drained.
-  bool DrainUntil(std::deque<MailItem>& out,
-                  std::chrono::steady_clock::time_point deadline) {
-    out.clear();
+  /// Owner only, right before it blocks on fd(). Returns false — do not
+  /// block — when items are queued or the mailbox is closed; otherwise
+  /// records that the owner is parked, so the next push signals fd().
+  bool PrepareToPark() {
     MutexLock lock(mutex_);
-    while (!closed_ && items_.empty()) {
-      const auto now = std::chrono::steady_clock::now();
-      if (now >= deadline) return true;
-      ready_.WaitFor(mutex_, deadline - now);
-    }
-    if (items_.empty()) return false;  // closed and drained
-    out.swap(items_);
+    if (closed_ || !items_.empty()) return false;
+    parked_ = true;
     return true;
   }
 
+  /// Reject further pushes and wake the owner so it can drain what is
+  /// left and exit.
   void Close() {
+    bool wake;
     {
       MutexLock lock(mutex_);
       closed_ = true;
+      wake = TakeParkedLocked();
     }
-    ready_.NotifyAll();
+    if (wake) Signal();
   }
 
   [[nodiscard]] std::size_t size() const {
@@ -109,13 +124,25 @@ class Mailbox {
   }
 
  private:
-  /// Leaf-ish lock: pushes happen with the load driver's run-state
-  /// mutex held (StartOp under RunState::mutex reaches Push), and
-  /// nothing is acquired while this mutex is held.
+  bool TakeParkedLocked() REQUIRES(mutex_) {
+    const bool was_parked = parked_;
+    parked_ = false;
+    return was_parked;
+  }
+
+  void Signal() const {
+    const std::uint64_t one = 1;
+    [[maybe_unused]] const ssize_t n = ::write(fd_, &one, sizeof(one));
+  }
+
+  /// Leaf lock: pushes happen with the load driver's run-state mutex
+  /// held (StartOp under RunState::mutex reaches Push), and nothing is
+  /// acquired while this mutex is held.
   mutable Mutex mutex_ ACQUIRED_AFTER(lock_order::kLoadDriver);
-  CondVar ready_;
   std::deque<MailItem> items_ GUARDED_BY(mutex_);
   bool closed_ GUARDED_BY(mutex_) = false;
+  bool parked_ GUARDED_BY(mutex_) = false;
+  const int fd_;
 };
 
 }  // namespace sbft

@@ -31,8 +31,6 @@ class RegisterCluster {
     /// Host all logical clients in one MuxClient node (see file
     /// comment); servers become MuxServers.
     bool multiplex = false;
-    /// Reactor threads for the TCP transport (ignored without use_tcp).
-    std::size_t reactor_threads = 1;
     std::size_t n_clients = 1;
     std::map<std::size_t, ByzantineStrategy> byzantine;
     std::uint64_t seed = 1;

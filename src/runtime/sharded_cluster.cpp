@@ -22,11 +22,9 @@ ShardedCluster::ShardedCluster(const Options& options) : options_(options) {
   // namespace; the one-node-per-client topology has no key namespace.
   SBFT_ASSERT(options.group.multiplex);
   // Build the groups BEFORE taking the router lock: group construction
-  // reaches the transport's bus mutex (RegisterCluster -> AddNode ->
-  // TcpBus::AddNode), and the router lock is declared to order before
-  // nothing transport-side (docs/ARCHITECTURE.md lock-order DAG). A
-  // constructor has no concurrency anyway — the lock below only
-  // publishes the assembled state, as AddGroup already does.
+  // binds listeners and creates node loops, slow work that need not
+  // run under it. A constructor has no concurrency anyway — the lock
+  // below only publishes the assembled state, as AddGroup already does.
   std::vector<std::unique_ptr<RegisterCluster>> groups;
   groups.reserve(options.n_groups);
   for (std::size_t g = 0; g < options.n_groups; ++g) {

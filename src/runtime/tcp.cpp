@@ -4,11 +4,11 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -19,8 +19,14 @@ namespace sbft {
 namespace {
 
 constexpr std::uint32_t kMaxTcpFrame = 16u << 20;
+constexpr std::size_t kHeader = 8;
+/// Initial receive-buffer capacity; it grows only to fit one frame
+/// larger than this.
 constexpr std::size_t kReadChunk = 128u << 10;
 constexpr int kMaxIov = 64;
+/// Outgoing connections carry no inbound protocol traffic; readability
+/// means EOF or reset.
+constexpr std::uint32_t kOutgoingEvents = EPOLLIN | EPOLLRDHUP;
 
 std::uint32_t LoadU32(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) |
@@ -46,24 +52,15 @@ void SetNoDelay(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-/// The fd is closed by whichever of the reactor-side removal and
-/// TcpBus::Stop gets there first; the flag makes that race benign.
-void CloseOnce(std::atomic<bool>& fd_closed, int fd) {
-  if (fd >= 0 && !fd_closed.exchange(true)) ::close(fd);
-}
-
-enum class FlushResult : std::uint8_t { kDrained, kBlocked, kError };
-
 }  // namespace
 
-TcpBus::TcpBus(DeliverFn deliver, Options options)
-    : deliver_(std::move(deliver)),
-      options_(options),
-      reactor_(options.reactor_threads) {}
+TcpBus::TcpBus(FrameFn on_frame, Options options)
+    : on_frame_(std::move(on_frame)), options_(options) {}
 
 TcpBus::~TcpBus() { Stop(); }
 
-std::uint16_t TcpBus::AddNode(NodeId node) {
+std::uint16_t TcpBus::AddNode(NodeId node, int epoll_fd) {
+  SBFT_ASSERT(!running_.load() && !stopped_);
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   SBFT_ASSERT(fd >= 0);
   const int one = 1;
@@ -81,324 +78,329 @@ std::uint16_t TcpBus::AddNode(NodeId node) {
   socklen_t len = sizeof(addr);
   SBFT_ASSERT(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr),
                             &len) == 0);
-  MutexLock lock(mutex_);
-  auto listener = std::make_unique<Listener>();
-  listener->fd = fd;
-  listener->port = ntohs(addr.sin_port);
-  const std::uint16_t port = listener->port;
-  listeners_[node] = std::move(listener);
-  if (tx_.size() <= node) tx_.resize(node + 1);
-  return port;
+  if (nodes_.size() <= node) nodes_.resize(node + 1);
+  SBFT_ASSERT(nodes_[node] == nullptr);
+  nodes_[node] = std::make_unique<Node>();
+  Node& state = *nodes_[node];
+  state.epoll_fd = epoll_fd;
+  state.port = ntohs(addr.sin_port);
+  state.listener.node = node;
+  state.listener.fd = fd;
+  // Level-triggered accept; Accept drains until EAGAIN anyway.
+  const bool watched = Watch(state.listener, EPOLL_CTL_ADD, EPOLLIN);
+  SBFT_ASSERT(watched);
+  return state.port;
 }
 
-void TcpBus::Start() {
-  running_.store(true);
-  reactor_.Start();
-  MutexLock lock(mutex_);
-  for (auto& [node, listener] : listeners_) {
-    // Level-triggered accept; the handler drains until EAGAIN anyway.
-    reactor_.Add(listener->fd, EPOLLIN,
-                 [this, id = node, fd = listener->fd](std::uint32_t) {
-                   AcceptEvent(id, fd);
-                 });
+void TcpBus::Start() { running_.store(true, std::memory_order_release); }
+
+bool TcpBus::Watch(Socket& socket, int op, std::uint32_t events) {
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.ptr = &socket;
+  return ::epoll_ctl(nodes_[socket.node]->epoll_fd, op, socket.fd, &ev) == 0;
+}
+
+void TcpBus::OnEvent(const epoll_event& event) {
+  auto* socket = static_cast<Socket*>(event.data.ptr);
+  Node& node = *nodes_[socket->node];
+  switch (socket->kind) {
+    case Socket::Kind::kListener:
+      Accept(node);
+      break;
+    case Socket::Kind::kInbound:
+      Receive(node, *static_cast<Inbound*>(socket));
+      break;
+    case Socket::Kind::kOutgoing:
+      OutgoingEvent(*static_cast<Outgoing*>(socket), event.events);
+      break;
   }
 }
 
-void TcpBus::AcceptEvent(NodeId node, int listen_fd) {
+void TcpBus::Accept(Node& node) {
   while (true) {
-    const int fd =
-        ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    const int fd = ::accept4(node.listener.fd, nullptr, nullptr,
+                             SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) return;  // EAGAIN, or the listener is going down
     SetNoDelay(fd);
-    auto peer = std::make_shared<PeerConn>();
-    peer->fd = fd;
-    peer->dst = node;
-    {
-      MutexLock lock(mutex_);
-      peers_.push_back(peer);
+    auto in = std::make_unique<Inbound>();
+    in->kind = Socket::Kind::kInbound;
+    in->node = node.listener.node;
+    in->fd = fd;
+    // Level-triggered: Receive may stop at a full buffer and come back
+    // on the next wakeup instead of reading until EAGAIN.
+    if (!Watch(*in, EPOLL_CTL_ADD, EPOLLIN | EPOLLRDHUP)) {
+      ::close(fd);  // degraded: the peer sees EOF and reconnects
+      continue;
     }
-    if (!reactor_.Add(fd, EPOLLIN | EPOLLRDHUP | EPOLLET,
-                      [this, peer](std::uint32_t events) {
-                        ReadEvent(peer, events);
-                      })) {
-      CloseOnce(peer->fd_closed, fd);
-    }
+    node.inbound.push_back(std::move(in));
   }
 }
 
-bool TcpBus::ParseFrames(PeerConn& peer, std::vector<Delivery>& batch) {
-  const std::uint8_t* data = peer.inbuf.data();
-  while (peer.len - peer.off >= 8) {
-    const std::uint32_t length = LoadU32(data + peer.off);
-    const NodeId src = LoadU32(data + peer.off + 4);
-    if (length > kMaxTcpFrame) return false;  // malformed: drop connection
-    if (peer.len - peer.off - 8 < length) break;  // torn frame: wait
-    Bytes frame = FramePool().Acquire();
-    frame.assign(data + peer.off + 8, data + peer.off + 8 + length);
-    batch.push_back(Delivery{src, std::move(frame)});
-    peer.off += 8 + static_cast<std::size_t>(length);
+void TcpBus::Receive(Node& node, Inbound& in) {
+  if (in.done) return;
+  // No view into `in.buf` is live here: DispatchFrames runs after every
+  // OnEvent of the wakeup. So this is where the buffer may move.
+  if (in.off > 0) {
+    std::memmove(in.buf.data(), in.buf.data() + in.off, in.len - in.off);
+    in.len -= in.off;
+    in.off = 0;
   }
-  if (peer.off == peer.len) {
-    peer.off = 0;
-    peer.len = 0;
+  if (in.buf.empty()) in.buf.resize(kReadChunk);
+  while (true) {
+    if (in.len == in.buf.size()) {
+      // Full. Grow only when the buffer holds no complete frame, i.e.
+      // one frame is larger than the buffer; otherwise dispatch first
+      // and read the rest on the next (level-triggered) wakeup.
+      const std::uint32_t length = LoadU32(in.buf.data());
+      if (length > kMaxTcpFrame || kHeader + length <= in.len) break;
+      in.buf.resize(kHeader + length);
+    }
+    const std::size_t space = in.buf.size() - in.len;
+    const ssize_t n = ::recv(in.fd, in.buf.data() + in.len, space, 0);
+    if (n > 0) {
+      in.len += static_cast<std::size_t>(n);
+      if (static_cast<std::size_t>(n) < space) break;  // drained
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
+      in.done = true;  // peer closed or reset
+    }
+    break;
+  }
+  if ((in.len > in.off || in.done) && !in.ready) {
+    in.ready = true;
+    node.ready.push_back(&in);
+  }
+}
+
+bool TcpBus::HasReceived(NodeId node) const {
+  return node < nodes_.size() && nodes_[node] != nullptr &&
+         !nodes_[node]->ready.empty();
+}
+
+void TcpBus::DispatchFrames(NodeId id) {
+  if (!HasReceived(id)) return;
+  Node& node = *nodes_[id];
+  for (Inbound* in : node.ready) {
+    in->ready = false;
+    const std::uint8_t* data = in->buf.data();
+    while (in->len - in->off >= kHeader) {
+      const std::uint32_t length = LoadU32(data + in->off);
+      const NodeId src = LoadU32(data + in->off + 4);
+      if (length > kMaxTcpFrame) {  // malformed: drop the connection
+        in->done = true;
+        break;
+      }
+      if (in->len - in->off - kHeader < length) break;  // torn: wait
+      const std::uint8_t* payload = data + in->off + kHeader;
+      in->off += kHeader + length;
+      on_frame_(id, src, BytesView(payload, length));
+    }
+    if (in->off == in->len) {
+      in->off = 0;
+      in->len = 0;
+    }
+  }
+  // Close after the whole pass: no handler runs past this point, and
+  // `ready` is not walked again.
+  for (Inbound* in : node.ready) {
+    if (in->done) CloseInbound(node, *in);
+  }
+  node.ready.clear();
+}
+
+void TcpBus::CloseInbound(Node& node, Inbound& in) {
+  ::epoll_ctl(node.epoll_fd, EPOLL_CTL_DEL, in.fd, nullptr);
+  ::close(in.fd);
+  const auto it = std::find_if(
+      node.inbound.begin(), node.inbound.end(),
+      [&in](const std::unique_ptr<Inbound>& p) { return p.get() == &in; });
+  std::iter_swap(it, node.inbound.end() - 1);
+  node.inbound.pop_back();
+}
+
+bool TcpBus::Connect(Outgoing& conn) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return false;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(nodes_[conn.dst]->port);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return false;  // degraded: the caller's op fails/retries cleanly
+  }
+  SetNoDelay(fd);
+  SetNonBlocking(fd);
+  conn.fd = fd;
+  if (!Watch(conn, EPOLL_CTL_ADD, kOutgoingEvents)) {
+    ::close(fd);
+    conn.fd = -1;
+    return false;
   }
   return true;
 }
 
-void TcpBus::ReadEvent(const std::shared_ptr<PeerConn>& peer,
-                       std::uint32_t events) {
-  if (peer->closed) return;
-  std::vector<Delivery> batch;
-  bool drop = false;
-  while (true) {
-    // Make room for the next chunk: slide any partial frame to the
-    // front, then grow the capacity buffer if still needed.
-    if (peer->off > 0) {
-      std::memmove(peer->inbuf.data(), peer->inbuf.data() + peer->off,
-                   peer->len - peer->off);
-      peer->len -= peer->off;
-      peer->off = 0;
-    }
-    if (peer->inbuf.size() - peer->len < kReadChunk) {
-      peer->inbuf.resize(peer->len + kReadChunk);
-    }
-    const ssize_t n = ::recv(peer->fd, peer->inbuf.data() + peer->len,
-                             peer->inbuf.size() - peer->len, 0);
-    if (n > 0) {
-      peer->len += static_cast<std::size_t>(n);
-      if (!ParseFrames(*peer, batch)) {
-        drop = true;
-        break;
-      }
-      continue;  // edge-triggered: drain until EAGAIN
-    }
-    if (n == 0) {
-      drop = true;  // peer closed
-      break;
-    }
-    if (errno == EINTR) continue;
-    if (errno != EAGAIN && errno != EWOULDBLOCK) drop = true;
-    break;
-  }
-  if (!batch.empty()) deliver_(peer->dst, std::move(batch));
-  if (drop || (events & (EPOLLERR | EPOLLHUP))) ClosePeer(peer);
-}
-
-void TcpBus::ClosePeer(const std::shared_ptr<PeerConn>& peer) {
-  if (peer->closed) return;
-  peer->closed = true;
-  reactor_.RemoveAndClose(peer->fd, [peer] {
-    peer->fd_closed.store(true);  // RemoveAndClose performed the close
-  });
-}
-
-std::shared_ptr<TcpBus::Connection> TcpBus::Connect(NodeId src, NodeId dst) {
-  std::uint16_t port = 0;
-  {
-    MutexLock lock(mutex_);
-    auto it = listeners_.find(dst);
-    if (it == listeners_.end()) return nullptr;
-    port = it->second->port;
-  }
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return nullptr;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return nullptr;  // degraded: the caller's op fails/retries cleanly
-  }
-  SetNoDelay(fd);
-  SetNonBlocking(fd);
-  auto conn = std::make_shared<Connection>();
-  conn->fd = fd;
-  conn->src = src;
-  conn->dst = dst;
-  // Outgoing connections carry no inbound protocol traffic; readability
-  // means EOF or reset, which the reactor turns into a dead connection.
-  if (!reactor_.Add(fd, EPOLLIN | EPOLLRDHUP | EPOLLET,
-                    [this, conn](std::uint32_t events) {
-                      OutgoingEvent(conn, events);
-                    })) {
-    ::close(fd);
-    return nullptr;
-  }
-  return conn;
-}
-
 bool TcpBus::Send(NodeId src, NodeId dst, BytesView frame) {
   if (!running_.load(std::memory_order_acquire)) return false;
-  if (src >= tx_.size()) return false;
-  Tx& tx = tx_[src];
-  std::shared_ptr<Connection> conn;
-  if (auto it = tx.conns.find(dst); it != tx.conns.end()) {
-    conn = it->second;
-    bool dead;
-    {
-      MutexLock lock(conn->mutex);
-      dead = conn->dead;
-    }
-    if (dead) conn = nullptr;  // lazily reconnect below
+  if (src >= nodes_.size() || nodes_[src] == nullptr ||
+      dst >= nodes_.size() || nodes_[dst] == nullptr) {
+    return false;
   }
-  if (!conn) {
-    conn = Connect(src, dst);
-    if (!conn) {
-      tx.conns.erase(dst);
-      return false;
-    }
-    tx.conns[dst] = conn;
+  Node& node = *nodes_[src];
+  if (node.out.size() <= dst) node.out.resize(nodes_.size());
+  if (node.out[dst] == nullptr) {
+    node.out[dst] = std::make_unique<Outgoing>();
+    node.out[dst]->kind = Socket::Kind::kOutgoing;
+    node.out[dst]->node = src;
+    node.out[dst]->dst = dst;
   }
+  Outgoing& conn = *node.out[dst];
+  if (conn.fd < 0 && !Connect(conn)) return false;  // lazy (re)connect
 
   // Frame [len][src][payload] into a pooled buffer and queue it; the
-  // bytes hit the wire on Flush (or via the reactor when backlogged).
+  // bytes hit the wire on Flush (or via EPOLLOUT when backlogged).
   Bytes buf = FramePool().Acquire();
-  buf.resize(8);
+  buf.resize(kHeader);
   StoreU32(buf.data(), static_cast<std::uint32_t>(frame.size()));
   StoreU32(buf.data() + 4, src);
   buf.insert(buf.end(), frame.begin(), frame.end());
-  {
-    MutexLock lock(conn->mutex);
-    if (conn->dead) return false;
-    if (conn->pending_bytes + buf.size() > options_.max_pending_bytes) {
-      MarkDeadLocked(conn);  // peer stopped reading; degrade, don't buffer
-      return false;
-    }
-    conn->pending_bytes += buf.size();
-    conn->pending.push_back(std::move(buf));
+  if (conn.pending_bytes + buf.size() > options_.max_pending_bytes) {
+    MarkDead(conn);  // peer stopped reading; degrade, don't buffer
+    return false;
   }
-  if (!conn->in_dirty) {
-    conn->in_dirty = true;
-    tx.dirty.push_back(std::move(conn));
+  conn.pending_bytes += buf.size();
+  conn.pending.push_back(std::move(buf));
+  if (!conn.in_dirty) {
+    conn.in_dirty = true;
+    node.dirty.push_back(&conn);
   }
   return true;
 }
 
 void TcpBus::Flush(NodeId src) {
-  if (src >= tx_.size()) return;
-  Tx& tx = tx_[src];
-  for (auto& conn : tx.dirty) {
+  if (src >= nodes_.size() || nodes_[src] == nullptr) return;
+  Node& node = *nodes_[src];
+  for (Outgoing* conn : node.dirty) {
     conn->in_dirty = false;
-    MutexLock lock(conn->mutex);
-    if (conn->dead || conn->epollout_armed) continue;  // reactor's turn
-    if (FlushLocked(conn) == static_cast<int>(FlushResult::kError)) {
-      MarkDeadLocked(conn);
-    }
+    // A backlogged connection continues on its EPOLLOUT event.
+    if (conn->fd < 0 || conn->epollout_armed) continue;
+    if (!FlushConnection(*conn)) MarkDead(*conn);
   }
-  tx.dirty.clear();
+  node.dirty.clear();
 }
 
-/// Returns a FlushResult as int (keeps the enum private to this TU).
-int TcpBus::FlushLocked(const std::shared_ptr<Connection>& conn) {
-  while (!conn->pending.empty()) {
+bool TcpBus::FlushConnection(Outgoing& conn) {
+  while (!conn.pending.empty()) {
     iovec iov[kMaxIov];
     int iovcnt = 0;
-    for (auto it = conn->pending.begin();
-         it != conn->pending.end() && iovcnt < kMaxIov; ++it, ++iovcnt) {
-      const std::size_t skip = (iovcnt == 0) ? conn->front_offset : 0;
+    for (auto it = conn.pending.begin();
+         it != conn.pending.end() && iovcnt < kMaxIov; ++it, ++iovcnt) {
+      const std::size_t skip = (iovcnt == 0) ? conn.front_offset : 0;
       iov[iovcnt].iov_base = it->data() + skip;
       iov[iovcnt].iov_len = it->size() - skip;
     }
     msghdr msg{};
     msg.msg_iov = iov;
     msg.msg_iovlen = static_cast<std::size_t>(iovcnt);
-    const ssize_t n = ::sendmsg(conn->fd, &msg, MSG_NOSIGNAL);
+    const ssize_t n = ::sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        if (!conn->epollout_armed) {
-          conn->epollout_armed = true;
-          reactor_.Modify(conn->fd,
-                          EPOLLIN | EPOLLRDHUP | EPOLLOUT | EPOLLET);
+        if (!conn.epollout_armed) {
+          conn.epollout_armed = true;
+          Watch(conn, EPOLL_CTL_MOD, kOutgoingEvents | EPOLLOUT);
         }
-        return static_cast<int>(FlushResult::kBlocked);
+        return true;
       }
-      return static_cast<int>(FlushResult::kError);  // EPIPE/ECONNRESET/...
+      return false;  // EPIPE/ECONNRESET/...
     }
     std::size_t left = static_cast<std::size_t>(n);
     while (left > 0) {
-      Bytes& front = conn->pending.front();
-      const std::size_t avail = front.size() - conn->front_offset;
+      Bytes& front = conn.pending.front();
+      const std::size_t avail = front.size() - conn.front_offset;
       if (left >= avail) {
         left -= avail;
-        conn->pending_bytes -= front.size();
-        conn->front_offset = 0;
+        conn.pending_bytes -= front.size();
+        conn.front_offset = 0;
         FramePool().Release(std::move(front));
-        conn->pending.pop_front();
+        conn.pending.pop_front();
       } else {
-        conn->front_offset += left;  // partial write: resume here
+        conn.front_offset += left;  // partial write: resume here
         left = 0;
       }
     }
   }
-  return static_cast<int>(FlushResult::kDrained);
+  if (conn.epollout_armed) {
+    conn.epollout_armed = false;
+    Watch(conn, EPOLL_CTL_MOD, kOutgoingEvents);
+  }
+  return true;
 }
 
-void TcpBus::OutgoingEvent(const std::shared_ptr<Connection>& conn,
-                           std::uint32_t events) {
-  MutexLock lock(conn->mutex);
-  if (conn->dead) return;
+void TcpBus::OutgoingEvent(Outgoing& conn, std::uint32_t events) {
+  if (conn.fd < 0) return;
   if (events & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP)) {
     std::uint8_t scratch[256];
     ssize_t n;
-    while ((n = ::recv(conn->fd, scratch, sizeof(scratch), 0)) > 0) {
+    while ((n = ::recv(conn.fd, scratch, sizeof(scratch), 0)) > 0) {
     }
     const bool reset =
         n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
                    errno != EINTR);
     if (reset || (events & (EPOLLERR | EPOLLHUP))) {
-      MarkDeadLocked(conn);
+      MarkDead(conn);
       return;
     }
   }
-  if (events & EPOLLOUT) {
-    conn->epollout_armed = false;
-    const int result = FlushLocked(conn);
-    if (result == static_cast<int>(FlushResult::kError)) {
-      MarkDeadLocked(conn);
-    } else if (result == static_cast<int>(FlushResult::kDrained)) {
-      reactor_.Modify(conn->fd, EPOLLIN | EPOLLRDHUP | EPOLLET);
-    }
-  }
+  if ((events & EPOLLOUT) && !FlushConnection(conn)) MarkDead(conn);
 }
 
-void TcpBus::MarkDeadLocked(const std::shared_ptr<Connection>& conn) {
-  if (conn->dead) return;
-  conn->dead = true;
-  conn->pending.clear();
-  conn->pending_bytes = 0;
-  conn->front_offset = 0;
+void TcpBus::MarkDead(Outgoing& conn) {
+  if (conn.fd < 0) return;
+  ::epoll_ctl(nodes_[conn.node]->epoll_fd, EPOLL_CTL_DEL, conn.fd, nullptr);
+  ::close(conn.fd);
+  conn.fd = -1;
+  conn.pending.clear();
+  conn.pending_bytes = 0;
+  conn.front_offset = 0;
+  conn.epollout_armed = false;
   connections_dropped_.fetch_add(1, std::memory_order_relaxed);
-  // Wake anything blocked on the socket, then hand the close to the
-  // owning reactor loop so no handler races its own fd being reused.
-  // The lambda keeps the connection alive until the close has run.
-  ::shutdown(conn->fd, SHUT_RDWR);
-  reactor_.RemoveAndClose(conn->fd, [conn] { conn->fd_closed.store(true); });
 }
 
 void TcpBus::DropConnection(NodeId src, NodeId dst) {
-  if (src >= tx_.size()) return;
-  auto it = tx_[src].conns.find(dst);
-  if (it == tx_[src].conns.end()) return;
-  const std::shared_ptr<Connection> conn = it->second;
-  MutexLock lock(conn->mutex);
-  MarkDeadLocked(conn);
+  if (src >= nodes_.size() || nodes_[src] == nullptr) return;
+  Node& node = *nodes_[src];
+  if (dst < node.out.size() && node.out[dst] != nullptr) {
+    MarkDead(*node.out[dst]);
+  }
 }
 
 void TcpBus::Stop() {
-  if (stopped_.exchange(true)) return;
-  running_.store(false);
-  reactor_.Stop();
-  // Loops are joined and leftover removal commands ran inline; every
-  // fd not yet closed through the reactor is closed here.
-  MutexLock lock(mutex_);
-  for (auto& [node, listener] : listeners_) {
-    CloseOnce(listener->fd_closed, listener->fd);
+  if (stopped_) return;
+  stopped_ = true;
+  running_.store(false, std::memory_order_release);
+  // The owners are done: close every socket inline. The epoll sets
+  // belong to the owners, which close them. Accepted sides first, for
+  // every node: the side that closes first keeps the connection in
+  // TIME_WAIT, and the accepting side holds no ephemeral port — so a
+  // torn-down cluster does not starve the next one's connect() calls.
+  for (auto& node : nodes_) {
+    if (node == nullptr) continue;
+    ::close(node->listener.fd);
+    for (auto& in : node->inbound) ::close(in->fd);
+    node->inbound.clear();
+    node->ready.clear();
   }
-  for (auto& peer : peers_) CloseOnce(peer->fd_closed, peer->fd);
-  for (auto& tx : tx_) {
-    for (auto& [dst, conn] : tx.conns) CloseOnce(conn->fd_closed, conn->fd);
+  for (auto& node : nodes_) {
+    if (node == nullptr) continue;
+    for (auto& conn : node->out) {
+      if (conn != nullptr && conn->fd >= 0) ::close(conn->fd);
+    }
+    node->out.clear();
+    node->dirty.clear();
   }
 }
 

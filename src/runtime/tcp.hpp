@@ -1,5 +1,7 @@
-// TCP transport on 127.0.0.1 for the threaded runtime, built on the
-// epoll Reactor (runtime/reactor.hpp) instead of thread-per-connection.
+// TCP transport on 127.0.0.1 for the threaded runtime. The bus owns no
+// thread: every node's sockets live in the epoll set of the loop that
+// owns the node (ThreadCluster's node thread), and that loop drives
+// them through the owner-loop API below.
 //
 // Every node owns a listening socket on an ephemeral port; peers
 // connect lazily on first send and keep the connection. Frames are
@@ -7,19 +9,23 @@
 // are non-blocking and TCP_NODELAY; batching happens at the
 // application layer:
 //
-//   * Send() only QUEUES a framed buffer on the (src, dst) connection
-//     and marks it dirty for `src`. Flush(src) walks the dirty list and
-//     writes each connection's whole queue with one sendmsg/iovec —
-//     a quorum broadcast or a batch of pipelined replies coalesces
-//     into one syscall per connection. The node loop calls Flush once
-//     per mailbox drain.
-//   * When the socket buffer fills (EAGAIN / partial write), the
-//     reactor takes over: EPOLLOUT is armed and the owning loop
-//     continues the flush, preserving frame order.
-//   * Reads are edge-triggered: one reactor callback drains the socket,
-//     decodes every complete frame in the receive buffer, and delivers
-//     them as ONE batch (all frames of a burst share a single deliver
-//     call, so the cluster pays one mailbox lock per burst).
+//   * Read path: OnEvent accepts on the listener and recvs a readable
+//     inbound connection into its receive buffer until the socket is
+//     drained (a short read or EAGAIN) or the buffer is full. It never
+//     calls into the protocol. DispatchFrames then hands every complete
+//     frame to the FrameFn as a view straight into that buffer — no
+//     copy, no pool acquire. The buffer is compacted or grown only
+//     inside OnEvent, so it never moves under a live view.
+//   * Write path: Send() only QUEUES a framed buffer on the (src, dst)
+//     connection and marks it dirty for `src`. Flush(src) walks the
+//     dirty list and writes each connection's whole queue with one
+//     sendmsg/iovec — a quorum broadcast or a batch of pipelined
+//     replies coalesces into one syscall per connection. The node loop
+//     calls Flush once per wakeup.
+//   * When a socket buffer fills (EAGAIN / partial write), EPOLLOUT is
+//     armed on the SENDER's loop and OnEvent continues the flush there,
+//     preserving frame order. An outgoing connection therefore has one
+//     owner, and no lock.
 //
 // Error handling degrades instead of aborting: a connect failure or an
 // EPIPE/ECONNRESET on send marks the connection dead, drops its queue,
@@ -28,23 +34,23 @@
 // protocol layer tolerates loss-free FIFO per connection, which each
 // individual TCP connection provides.
 //
-// Threading contract: for each `src`, Send/Flush must be called from
-// one thread at a time (the node's own thread in ThreadCluster).
-// Different `src` values are fully concurrent, and the reactor loops
-// run concurrently with everything.
+// Threading contract: AddNode and Start run before any loop does. After
+// that, every call that names a node (OnEvent for that node's sockets,
+// DispatchFrames, Send/Flush/DropConnection with that `src`) must come
+// from the one thread that owns the node. Different nodes are fully
+// concurrent. Stop runs once no owner calls in anymore.
 #pragma once
+
+#include <sys/epoll.h>
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "common/bytes.hpp"
-#include "common/thread_annotations.hpp"
-#include "runtime/reactor.hpp"
 #include "sim/types.hpp"
 
 namespace sbft {
@@ -52,41 +58,62 @@ namespace sbft {
 class TcpBus {
  public:
   struct Options {
-    /// Reactor loop threads shared by all sockets of this bus.
-    std::size_t reactor_threads = 1;
     /// A connection whose unsent queue exceeds this is dropped (the
     /// peer stopped reading); ops on it fail/retry instead of the node
     /// buffering without bound.
     std::size_t max_pending_bytes = 64u << 20;
   };
 
-  /// One decoded inbound frame: the sender id from the wire header plus
-  /// the payload (drawn from the reactor thread's FramePool).
-  struct Delivery {
-    NodeId src = kNoNode;
-    Bytes frame;
-  };
-  /// All frames of one receive burst on one connection, in order, for
-  /// the node that owns the listening socket.
-  using DeliverFn =
-      std::function<void(NodeId dst, std::vector<Delivery>&& batch)>;
+  /// Receives one inbound frame on the destination node's loop, inside
+  /// DispatchFrames. `frame` points into the connection's receive
+  /// buffer and is valid only until the call returns.
+  using FrameFn = std::function<void(NodeId dst, NodeId src, BytesView frame)>;
 
-  TcpBus(DeliverFn deliver, Options options);
-  explicit TcpBus(DeliverFn deliver) : TcpBus(std::move(deliver), Options{}) {}
+  TcpBus(FrameFn on_frame, Options options);
+  explicit TcpBus(FrameFn on_frame) : TcpBus(std::move(on_frame), Options{}) {}
   ~TcpBus();
 
-  /// Create the listening socket for `node`; returns the bound port.
-  /// Call once per node before Start().
-  std::uint16_t AddNode(NodeId node);
+  TcpBus(const TcpBus&) = delete;
+  TcpBus& operator=(const TcpBus&) = delete;
 
-  /// Register listeners with the reactor and start its loops.
+  /// Create the listening socket for `node` and register it on
+  /// `epoll_fd`, the epoll set of the loop that will own the node (the
+  /// bus registers every later socket of the node there too, with a
+  /// non-null data.ptr). Returns the bound port. Call once per node
+  /// before Start().
+  std::uint16_t AddNode(NodeId node, int epoll_fd);
+
+  /// The port AddNode bound for `node`.
+  [[nodiscard]] std::uint16_t port(NodeId node) const {
+    return nodes_.at(node)->port;
+  }
+
+  /// Allow sends. Socket events are handled whenever the owners poll.
   void Start();
+  /// Close every socket. Idempotent; call once no owner calls in.
   void Stop();
+
+  // --- Owner-loop API (see the threading contract above). ---
+
+  /// Handle one epoll event whose data.ptr is non-null: accept, recv
+  /// into a receive buffer, continue a backlogged flush, or notice a
+  /// peer's EOF. Transport work only; never calls the FrameFn.
+  void OnEvent(const epoll_event& event);
+
+  /// True when connections of `node` received bytes (or EOF) since the
+  /// last DispatchFrames.
+  [[nodiscard]] bool HasReceived(NodeId node) const;
+
+  /// Pass every complete frame received by `node` to the FrameFn, in
+  /// order per connection, then close connections that hit EOF or sent
+  /// a malformed frame.
+  void DispatchFrames(NodeId node);
 
   /// Queue a frame from `src` to `dst` (connects lazily). Returns false
   /// if the bus is stopped, `dst` is unknown, or the connection could
   /// not be (re)established. The frame is not on the wire until
-  /// Flush(src) — or the reactor, if the connection is backlogged.
+  /// Flush(src) — or the EPOLLOUT continuation, if the connection is
+  /// backlogged.
   bool Send(NodeId src, NodeId dst, BytesView frame);
 
   /// Write out everything queued by `src` since its last Flush; one
@@ -104,81 +131,65 @@ class TcpBus {
   }
 
  private:
-  struct Listener {
-    int fd = -1;
-    std::uint16_t port = 0;
-    std::atomic<bool> fd_closed{false};
+  /// What an epoll event's data.ptr points at.
+  struct Socket {
+    enum class Kind : std::uint8_t { kListener, kInbound, kOutgoing };
+    Kind kind;
+    NodeId node;  // the owning node
+    int fd = -1;  // -1: closed (a dead outgoing connection)
   };
 
-  /// Outgoing connection state. `pending`/`front_offset`/flags are
-  /// guarded by `mutex` (contended only between the sending node thread
-  /// and the reactor loop continuing a backlogged flush).
-  struct Connection {
-    int fd = -1;
-    NodeId src = kNoNode;
-    NodeId dst = kNoNode;
-    /// Held across reactor interest-set changes (FlushLocked arming
-    /// EPOLLOUT) and the deferred close (MarkDeadLocked), both of
-    /// which take reactor locks — so it orders before them.
-    Mutex mutex ACQUIRED_BEFORE(lock_order::kReactorLoop,
-                                lock_order::kReactorOwner);
-    std::deque<Bytes> pending GUARDED_BY(mutex);
-    /// Bytes of pending.front() already sent.
-    std::size_t front_offset GUARDED_BY(mutex) = 0;
-    std::size_t pending_bytes GUARDED_BY(mutex) = 0;
-    bool epollout_armed GUARDED_BY(mutex) = false;
-    bool dead GUARDED_BY(mutex) = false;
-    bool in_dirty = false;  // touched only by the src node thread
-    std::atomic<bool> fd_closed{false};
-  };
-
-  /// Accepted (inbound) connection. All fields are owned by the reactor
-  /// loop the fd is pinned to — no locking. `inbuf` is managed as a
-  /// capacity buffer: `size()` is capacity, `len`/`off` delimit the
-  /// unparsed bytes, so a short recv never pays a resize/zero-fill.
-  struct PeerConn {
-    int fd = -1;
-    NodeId dst = kNoNode;
-    Bytes inbuf;
+  /// Accepted connection. `buf` is a capacity buffer: `size()` is
+  /// capacity, [off, len) the bytes not yet dispatched.
+  struct Inbound : Socket {
+    Bytes buf;
     std::size_t len = 0;
     std::size_t off = 0;
-    bool closed = false;
-    std::atomic<bool> fd_closed{false};
+    bool ready = false;  // listed in Node::ready
+    bool done = false;   // EOF, error or malformed: close after dispatch
   };
 
-  struct Tx {
-    std::map<NodeId, std::shared_ptr<Connection>> conns;
-    std::vector<std::shared_ptr<Connection>> dirty;
+  /// Outgoing connection to `dst`, owned by the sender's loop. Kept
+  /// across drops (fd == -1) and reconnected in place, so the dirty
+  /// list never dangles.
+  struct Outgoing : Socket {
+    NodeId dst = kNoNode;
+    std::deque<Bytes> pending;
+    /// Bytes of pending.front() already sent.
+    std::size_t front_offset = 0;
+    std::size_t pending_bytes = 0;
+    bool epollout_armed = false;
+    bool in_dirty = false;
   };
 
-  std::shared_ptr<Connection> Connect(NodeId src, NodeId dst);
-  void AcceptEvent(NodeId node, int listen_fd);
-  void ReadEvent(const std::shared_ptr<PeerConn>& peer, std::uint32_t events);
-  void OutgoingEvent(const std::shared_ptr<Connection>& conn,
-                     std::uint32_t events);
-  /// Flush `conn->pending`; requires !conn->dead on entry. Returns a
-  /// FlushResult (kDrained/kBlocked/kError) as int.
-  int FlushLocked(const std::shared_ptr<Connection>& conn)
-      REQUIRES(conn->mutex);
-  void MarkDeadLocked(const std::shared_ptr<Connection>& conn)
-      REQUIRES(conn->mutex);
-  bool ParseFrames(PeerConn& peer, std::vector<Delivery>& batch);
-  void ClosePeer(const std::shared_ptr<PeerConn>& peer);
+  /// Per-node transport state; touched only by the node's owner.
+  struct Node {
+    int epoll_fd = -1;
+    std::uint16_t port = 0;
+    Socket listener{Socket::Kind::kListener, kNoNode, -1};
+    std::vector<std::unique_ptr<Inbound>> inbound;
+    std::vector<Inbound*> ready;
+    std::vector<std::unique_ptr<Outgoing>> out;  // indexed by dst
+    std::vector<Outgoing*> dirty;
+  };
 
-  DeliverFn deliver_;
+  void Accept(Node& node);
+  void Receive(Node& node, Inbound& in);
+  void CloseInbound(Node& node, Inbound& in);
+  void OutgoingEvent(Outgoing& conn, std::uint32_t events);
+  bool Connect(Outgoing& conn);
+  /// Write `conn.pending`; returns false on a socket error.
+  bool FlushConnection(Outgoing& conn);
+  void MarkDead(Outgoing& conn);
+  /// epoll_ctl on the owning node's set; false if the kernel refused.
+  bool Watch(Socket& socket, int op, std::uint32_t events);
+
+  FrameFn on_frame_;
   Options options_;
-  Reactor reactor_;
-  /// Held across listener registration in Start (reactor_.Add takes
-  /// both reactor locks under it). Never nests with Connection::mutex
-  /// in either direction.
-  Mutex mutex_ ACQUIRED_BEFORE(lock_order::kReactorLoop,
-                               lock_order::kReactorOwner);
-  std::map<NodeId, std::unique_ptr<Listener>> listeners_ GUARDED_BY(mutex_);
-  std::vector<Tx> tx_;  // indexed by src; each entry single-threaded
-  std::vector<std::shared_ptr<PeerConn>> peers_ GUARDED_BY(mutex_);
+  std::vector<std::unique_ptr<Node>> nodes_;  // indexed by NodeId
   std::atomic<std::uint64_t> connections_dropped_{0};
   std::atomic<bool> running_{false};
-  std::atomic<bool> stopped_{false};
+  bool stopped_ = false;
 };
 
 }  // namespace sbft

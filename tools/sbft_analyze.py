@@ -16,15 +16,21 @@ checks over it:
                        cycle — a static lock-order inversion — and (b)
                        any observed edge between two anchored families
                        that the declared DAG does not admit.
-  reactor-blocking     Seeds a "runs on a reactor thread" taint at every
-                       lambda handed to Reactor::Add/Post/RemoveAndClose
-                       or to the TcpBus delivery callback, propagates it
-                       through the call graph, and flags blocking
-                       primitives (unbounded CondVar::Wait, sleeps,
-                       thread joins, blocking syscalls) reachable from a
-                       handler. Calls through std::function values are
-                       opaque by design: deferred callbacks run on their
-                       executor's thread, not the poster's.
+  reactor-blocking     Seeds a "runs on a socket loop" taint at the node
+                       loop's dispatch — ThreadCluster::DispatchBatch,
+                       every automaton hook (OnStart/OnFrame/OnTimer/
+                       OnBatchStart/OnBatchEnd), every task lambda handed
+                       to PostToNode/RunOnNode, the TcpBus frame sink —
+                       and at lambdas handed to an event-loop registrar
+                       (Reactor-style Add/Post/RemoveAndClose). It
+                       propagates the taint through the call graph and
+                       flags blocking primitives (unbounded
+                       CondVar::Wait, future waits, sleeps, thread joins,
+                       blocking syscalls) reachable from a handler: one
+                       stalled handler stalls every socket of its loop.
+                       Calls through std::function values are opaque by
+                       design: deferred callbacks run on their executor's
+                       thread, not the poster's.
   frame-escape         Flags borrowed BytesView/span payloads that
                        escape their drain scope: stored into a member of
                        a long-lived object, pushed into a member
@@ -105,7 +111,7 @@ ANNOTATION_HEADER = os.path.join("src", "common", "thread_annotations.hpp")
 CHECKS = {
     "lock-order": "lock acquisition graph has an inversion cycle or an "
                   "edge the declared ACQUIRED_BEFORE DAG does not admit",
-    "reactor-blocking": "blocking primitive reachable from a reactor "
+    "reactor-blocking": "blocking primitive reachable from a socket-loop "
                         "handler (stalls every connection on that loop)",
     "frame-escape": "borrowed frame payload (BytesView/span) escapes its "
                     "drain scope (member store or deferred capture)",
@@ -123,19 +129,25 @@ CHECKS = {
 ALLOW_RE = re.compile(
     r"//\s*sbft-analyze:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 
-# Lambdas handed to these (receiver-typed Reactor) run on reactor
-# threads; TcpBus's constructor delivery callback does too.
+# Lambdas handed to these (receiver-typed Reactor) run on event-loop
+# threads; TcpBus's constructor frame sink does too.
 REACTOR_SINKS = ("Add", "Post", "RemoveAndClose")
+# The node loop (runtime/cluster.hpp) is the socket loop: its dispatch
+# bracket, every automaton hook it calls, and every task posted to it
+# run with the node's sockets waiting behind them.
+LOOP_DISPATCH = ("ThreadCluster::DispatchBatch",)
+LOOP_HOOKS = ("OnStart", "OnFrame", "OnTimer", "OnBatchStart", "OnBatchEnd")
+LOOP_TASK_SINKS = ("PostToNode", "RunOnNode")
 # Lambdas handed to these run later, on another thread, after the
 # current drain/batch scope is gone.
 DEFER_SINKS = ("Post", "PostToNode", "Push", "PushBatch")
-# Call names treated as blocking when reached from a reactor handler.
+# Call names treated as blocking when reached from a loop handler.
 # `Wait` is the exact unbounded CondVar::Wait — WaitFor is bounded and
 # allowed. recv/send/accept4 are excluded: every runtime socket is
 # nonblocking (documented limitation, not an oversight).
-BLOCKING_CALLS = ("Wait", "sleep_for", "sleep_until", "usleep",
-                  "nanosleep", "sleep", "join", "epoll_wait", "ppoll",
-                  "poll", "select")
+BLOCKING_CALLS = ("Wait", "wait", "sleep_for", "sleep_until", "usleep",
+                  "nanosleep", "sleep", "join", "epoll_wait",
+                  "epoll_pwait2", "ppoll", "poll", "select")
 VIEW_TYPE_RE = re.compile(r"\bBytesView\b|\bstd::span\s*<|\bstring_view\b")
 UNORDERED_TYPE_RE = re.compile(r"\bunordered_(?:map|set|multimap|multiset)\b")
 MUTEX_TYPE_RE = re.compile(r"(?<!std::)\bMutex\b")
@@ -335,6 +347,10 @@ def classify_scope(header: str) -> tuple:
         return "class", cm.group(1).split("::")[-1]
     if re.search(r"=\s*$", h):
         return "block", None     # brace initializer
+    if re.match(r"(?:else\s+)?(?:if|for|while|switch|catch)\s*\(", stripped):
+        # A statement body. Its header may hold calls (`for (...;
+        # i < v.size(); ...)`), which must not name it a function.
+        return "block", None
     for fm in FUNC_NAME_RE.finditer(stripped):
         name = fm.group(1)
         base = name.split("::")[-1].lstrip("~")
@@ -1379,11 +1395,20 @@ def check_lock_order(program: Program, resolver: Resolver):
 def reactor_roots(program: Program, resolver: Resolver):
     roots = []
     for fn in program.all_functions:
-        if not fn.is_lambda or not fn.sink:
+        if not fn.is_lambda:
+            if fn.qname.endswith(LOOP_DISPATCH) or (
+                    fn.owner_class
+                    and fn.qname.split("::")[-1] in LOOP_HOOKS):
+                roots.append(fn)  # runs on its node's socket loop
+            continue
+        if not fn.sink:
             continue
         recv, name, tmpl = fn.sink
         if tmpl and tmpl.split("::")[-1] == "TcpBus":
-            roots.append(fn)  # TcpBus delivery callback runs on a loop
+            roots.append(fn)  # TcpBus frame sink runs on a node loop
+            continue
+        if name in LOOP_TASK_SINKS:
+            roots.append(fn)  # a posted task runs on the node loop
             continue
         if name not in REACTOR_SINKS:
             continue
@@ -1409,9 +1434,9 @@ def check_reactor_blocking(program: Program, resolver: Resolver):
                 if c.name in BLOCKING_CALLS:
                     findings.append(Finding(
                         fn.path, c.line, "reactor-blocking",
-                        f"blocking call {c.name}() reachable from a reactor "
-                        f"handler ({' -> '.join(chain)}); reactor threads "
-                        f"must never block"))
+                        f"blocking call {c.name}() reachable from a "
+                        f"socket-loop handler ({' -> '.join(chain)}); a loop "
+                        f"thread must never block"))
                 for callee in resolver.callees(fn, c):
                     work.append((callee, chain + (callee.qname,)))
     return findings
